@@ -64,13 +64,13 @@ fn bench_regex(c: &mut Criterion) {
 }
 
 fn bench_line_framing(c: &mut Criterion) {
-    let data: Vec<u8> = "the quick brown fox\n".repeat(5000).into_bytes();
+    let data = bytes::Bytes::from("the quick brown fox\n".repeat(5000));
     let mut g = c.benchmark_group("framing");
     g.throughput(Throughput::Bytes(data.len() as u64));
     g.bench_function("line_buffer", |b| {
         b.iter(|| {
             let mut lb = jash_io::LineBuffer::new();
-            lb.push(black_box(&data));
+            lb.push_chunk(black_box(data.clone()));
             let mut n = 0usize;
             while let Some(l) = lb.next_line() {
                 n += l.len();

@@ -9,6 +9,11 @@
 //!
 //! Bytes are matched byte-wise (ASCII semantics); multi-byte UTF-8 text
 //! passes through untouched because all metacharacters are ASCII.
+//!
+//! An unanchored, case-sensitive pattern that parses to a plain byte
+//! string (`grep qqq`, `grep -F x`, BRE `a\.b`) skips the NFA in
+//! [`Regex::is_match`] for a substring search; the NFA stays the
+//! reference that the fast path is tested against.
 
 mod nfa;
 mod parse;
@@ -19,6 +24,9 @@ pub use parse::{parse_pattern, Flavor, Node, RegexError};
 /// A compiled regular expression.
 pub struct Regex {
     nfa: Nfa,
+    /// The bytes the pattern matches, when it is a plain literal that
+    /// [`Regex::is_match`] may find by substring search.
+    literal: Option<Vec<u8>>,
     anchored_start: bool,
     anchored_end: bool,
     icase: bool,
@@ -28,23 +36,26 @@ impl Regex {
     /// Compiles `pattern` in the given flavor.
     pub fn new(pattern: &str, flavor: Flavor, icase: bool) -> Result<Regex, RegexError> {
         let (node, anchored_start, anchored_end) = parse_pattern(pattern, flavor)?;
-        let nfa = Nfa::compile(&node, icase);
-        Ok(Regex {
-            nfa,
-            anchored_start,
-            anchored_end,
-            icase,
-        })
+        Ok(Regex::from_node(&node, anchored_start, anchored_end, icase))
     }
 
     /// Compiles a fixed string (`grep -F`).
     pub fn fixed(text: &str, icase: bool) -> Regex {
         let node = Node::Concat(text.bytes().map(Node::Char).collect());
-        let nfa = Nfa::compile(&node, icase);
+        Regex::from_node(&node, false, false, icase)
+    }
+
+    fn from_node(node: &Node, anchored_start: bool, anchored_end: bool, icase: bool) -> Regex {
+        let literal = if anchored_start || anchored_end || icase {
+            None
+        } else {
+            literal_bytes(node)
+        };
         Regex {
-            nfa,
-            anchored_start: false,
-            anchored_end: false,
+            nfa: Nfa::compile(node, icase),
+            literal,
+            anchored_start,
+            anchored_end,
             icase,
         }
     }
@@ -54,6 +65,9 @@ impl Regex {
     /// Single pass over the line (no per-position restarts), which is
     /// what lets `grep` stream at disk speed.
     pub fn is_match(&self, line: &[u8]) -> bool {
+        if let Some(literal) = &self.literal {
+            return contains_literal(line, literal);
+        }
         if self.anchored_start || self.anchored_end {
             return self.find_from(line, 0).is_some();
         }
@@ -97,6 +111,43 @@ impl Regex {
     pub fn ignores_case(&self) -> bool {
         self.icase
     }
+}
+
+/// The byte string `node` matches, if it is one `Char` or a non-empty
+/// `Concat` of `Char`s.
+fn literal_bytes(node: &Node) -> Option<Vec<u8>> {
+    match node {
+        Node::Char(b) => Some(vec![*b]),
+        Node::Concat(parts) if !parts.is_empty() => parts
+            .iter()
+            .map(|part| match part {
+                Node::Char(b) => Some(*b),
+                _ => None,
+            })
+            .collect(),
+        _ => None,
+    }
+}
+
+/// Whether the non-empty `needle` occurs in `hay`: scans for its first
+/// byte, then compares the rest in place.
+fn contains_literal(hay: &[u8], needle: &[u8]) -> bool {
+    let Some(last_start) = hay.len().checked_sub(needle.len()) else {
+        return false;
+    };
+    let (first, rest) = (needle[0], &needle[1..]);
+    let mut from = 0;
+    while from <= last_start {
+        let Some(i) = hay[from..=last_start].iter().position(|&b| b == first) else {
+            return false;
+        };
+        let at = from + i;
+        if hay[at + 1..at + needle.len()] == *rest {
+            return true;
+        }
+        from = at + 1;
+    }
+    false
 }
 
 #[cfg(test)]
@@ -231,5 +282,89 @@ mod tests {
         let t0 = std::time::Instant::now();
         assert!(!r.is_match(&line));
         assert!(t0.elapsed() < std::time::Duration::from_secs(2));
+    }
+
+    /// Seeded lines over a small alphabet (so needles recur, overlap and
+    /// nearly match), including bytes >= 0x80 and empty lines.
+    fn seeded_lines() -> Vec<Vec<u8>> {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const ALPHABET: &[u8] = b"aabq.xy\xc3\xa9\xff";
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut lines: Vec<Vec<u8>> = [
+            "",
+            "aaab",
+            "xyaab",
+            "aa",
+            "a.b",
+            "qqqq",
+            "\u{e9}t\u{e9}",
+            "yaabqaabqaabqx",
+        ]
+        .iter()
+        .map(|l| l.as_bytes().to_vec())
+        .collect();
+        for _ in 0..2000 {
+            let len = rng.random_range(0..12usize);
+            lines.push(
+                (0..len)
+                    .map(|_| ALPHABET[rng.random_range(0..ALPHABET.len())])
+                    .collect(),
+            );
+        }
+        lines
+    }
+
+    #[test]
+    fn literal_fast_path_agrees_with_the_nfa() {
+        let literals = [
+            ("aab", Regex::new("aab", Flavor::Bre, false).unwrap()),
+            ("q", Regex::new("q", Flavor::Ere, false).unwrap()),
+            ("qqq", Regex::new("qqq", Flavor::Bre, false).unwrap()),
+            ("a\\.b", Regex::new(r"a\.b", Flavor::Bre, false).unwrap()),
+            ("\u{e9}", Regex::new("\u{e9}", Flavor::Bre, false).unwrap()),
+            ("a.b -F", Regex::fixed("a.b", false)),
+            ("long -F", Regex::fixed("aabqaabqaabqx", false)),
+            ("y\u{e9} -F", Regex::fixed("y\u{e9}", false)),
+            // A group is part of the tree, not of the matched bytes.
+            (
+                r"\(ab\)",
+                Regex::new(r"\(ab\)", Flavor::Bre, false).unwrap(),
+            ),
+        ];
+        let lines = seeded_lines();
+        for (name, re) in &literals {
+            assert!(re.literal.is_some(), "{name} should take the fast path");
+            let mut hits = 0;
+            for line in &lines {
+                let want = re.nfa.contains_match(line);
+                assert_eq!(re.is_match(line), want, "{name} on {line:?}");
+                hits += want as usize;
+            }
+            assert!(hits > 0, "{name} never matched");
+        }
+        assert!(bre("aab").is_match(b"aaab"));
+        assert!(bre("aab").is_match(b"xyaab"));
+        assert!(!Regex::fixed("aabqaabqaabqx", false).is_match(b"aab"));
+    }
+
+    #[test]
+    fn only_plain_unanchored_case_sensitive_literals_skip_the_nfa() {
+        let nfa_only = [
+            Regex::new("aab", Flavor::Bre, true).unwrap(),
+            Regex::fixed("aab", true),
+            Regex::new("^aab", Flavor::Bre, false).unwrap(),
+            Regex::new("aab$", Flavor::Bre, false).unwrap(),
+            Regex::new("a.b", Flavor::Bre, false).unwrap(),
+            Regex::new("a*b", Flavor::Bre, false).unwrap(),
+            Regex::new("", Flavor::Bre, false).unwrap(),
+            Regex::fixed("", false),
+        ];
+        for re in &nfa_only {
+            assert!(re.literal.is_none());
+        }
+        assert!(nfa_only[0].is_match(b"xAaB"));
+        assert!(!nfa_only[2].is_match(b"xaab"));
+        assert!(nfa_only[3].is_match(b"xaab"));
+        assert!(nfa_only[7].is_match(b""));
     }
 }

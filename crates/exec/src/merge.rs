@@ -118,9 +118,7 @@ impl LineReader {
                 return Ok(());
             }
             match self.stream.next_chunk()? {
-                Some(chunk) => {
-                    self.lb.push(&chunk);
-                }
+                Some(chunk) => self.lb.push_chunk(chunk),
                 None => self.eof = true,
             }
         }

@@ -73,11 +73,10 @@ pub fn split_contiguous(
     };
 
     while let Some(chunk) = input.next_chunk()? {
-        lb.push(&chunk);
+        lb.push_chunk(chunk);
         while let Some(line) = lb.next_line() {
             emit(outputs, &mut branch, &mut sent, &mut pending, line)?;
         }
-        lb.mark_scanned();
     }
     if let Some(rest) = lb.take_rest() {
         emit(outputs, &mut branch, &mut sent, &mut pending, rest)?;
@@ -113,7 +112,7 @@ pub fn split_round_robin(
     };
 
     while let Some(chunk) = input.next_chunk()? {
-        lb.push(&chunk);
+        lb.push_chunk(chunk);
         while let Some(line) = lb.next_line() {
             pending.extend_from_slice(&line);
             in_block += 1;
@@ -122,7 +121,6 @@ pub fn split_round_robin(
                 in_block = 0;
             }
         }
-        lb.mark_scanned();
     }
     if let Some(rest) = lb.take_rest() {
         pending.extend_from_slice(&rest);

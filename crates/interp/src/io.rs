@@ -79,7 +79,7 @@ impl LineStream {
                 return Ok(self.lb.take_rest().map(|b| b.to_vec()));
             }
             match self.stream.next_chunk()? {
-                Some(chunk) => self.lb.push(&chunk),
+                Some(chunk) => self.lb.push_chunk(chunk),
                 None => self.eof = true,
             }
         }
