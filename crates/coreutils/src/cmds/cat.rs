@@ -1,13 +1,19 @@
 //! `cat` — concatenate files to standard output.
 
-use crate::util::for_each_input_chunk;
+use crate::util::{for_each_input_chunk, is_flag_cluster, split_at_dashdash};
 use crate::{UtilCtx, UtilIo};
 use std::io;
 
 /// Runs `cat [file...]`. `-` reads standard input. The only flag accepted
 /// is `-u` (unbuffered), which is a no-op here as every write streams.
 pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i32> {
-    let files: Vec<String> = args.iter().filter(|a| *a != "-u").cloned().collect();
+    let (options, rest) = split_at_dashdash(args);
+    let files: Vec<String> = options
+        .iter()
+        .filter(|a| !is_flag_cluster(a, "u"))
+        .chain(rest)
+        .cloned()
+        .collect();
     for_each_input_chunk(&files, io, ctx, |out, chunk| out.write_chunk(chunk))
 }
 

@@ -1,6 +1,9 @@
 //! `cut` — select character columns or delimited fields.
 
-use crate::util::{chomp, for_each_input_line, in_ranges, parse_ranges, write_stderr};
+use crate::util::{
+    chomp, for_each_input_line, in_ranges, is_flag_cluster, option_value, parse_ranges,
+    write_stderr,
+};
 use crate::{UtilCtx, UtilIo};
 use bytes::Bytes;
 use std::io;
@@ -27,30 +30,15 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
     while i < args.len() {
         let a = &args[i];
         if let Some(rest) = a.strip_prefix("-c").or_else(|| a.strip_prefix("-b")) {
-            list = Some(if rest.is_empty() {
-                i += 1;
-                args.get(i).cloned().unwrap_or_default()
-            } else {
-                rest.to_string()
-            });
+            list = Some(option_value(rest, args, &mut i).unwrap_or_default());
             field_mode = false;
         } else if let Some(rest) = a.strip_prefix("-f") {
-            list = Some(if rest.is_empty() {
-                i += 1;
-                args.get(i).cloned().unwrap_or_default()
-            } else {
-                rest.to_string()
-            });
+            list = Some(option_value(rest, args, &mut i).unwrap_or_default());
             field_mode = true;
         } else if let Some(rest) = a.strip_prefix("-d") {
-            let d = if rest.is_empty() {
-                i += 1;
-                args.get(i).cloned().unwrap_or_default()
-            } else {
-                rest.to_string()
-            };
+            let d = option_value(rest, args, &mut i).unwrap_or_default();
             delim = d.bytes().next().unwrap_or(b'\t');
-        } else if a == "-s" {
+        } else if is_flag_cluster(a, "s") {
             suppress = true;
         } else if a == "--" {
             files.extend(args[i + 1..].iter().cloned());

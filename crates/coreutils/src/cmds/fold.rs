@@ -1,6 +1,6 @@
 //! `fold` — wrap lines to a fixed width.
 
-use crate::util::{chomp, for_each_input_line};
+use crate::util::{chomp, for_each_input_line, option_value};
 use crate::{UtilCtx, UtilIo};
 use bytes::Bytes;
 use std::io;
@@ -13,12 +13,7 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
     while i < args.len() {
         let a = &args[i];
         if let Some(rest) = a.strip_prefix("-w") {
-            let v = if rest.is_empty() {
-                i += 1;
-                args.get(i).cloned().unwrap_or_default()
-            } else {
-                rest.to_string()
-            };
+            let v = option_value(rest, args, &mut i).unwrap_or_default();
             match v.parse() {
                 Ok(w) if w > 0 => width = w,
                 _ => {
@@ -26,6 +21,9 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
                     return Ok(2);
                 }
             }
+        } else if a == "--" {
+            files.extend(args[i + 1..].iter().cloned());
+            break;
         } else {
             files.push(a.clone());
         }

@@ -1,7 +1,7 @@
 //! `grep` — search lines by regular expression.
 
 use crate::regex::{Flavor, Regex};
-use crate::util::{chomp, for_each_input_line, write_stderr};
+use crate::util::{chomp, for_each_input_line, option_value, write_stderr};
 use crate::{UtilCtx, UtilIo};
 use bytes::Bytes;
 use std::io;
@@ -40,10 +40,9 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
             i += 1;
             continue;
         }
-        if a == "-e" {
-            i += 1;
-            pattern = Some(match args.get(i) {
-                Some(p) => p.clone(),
+        if let Some(rest) = a.strip_prefix("-e") {
+            pattern = Some(match option_value(rest, args, &mut i) {
+                Some(p) => p,
                 None => {
                     write_stderr(io, "grep: option -e requires an argument\n")?;
                     return Ok(2);
@@ -52,9 +51,8 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
             i += 1;
             continue;
         }
-        if a == "-m" {
-            i += 1;
-            max_count = args.get(i).and_then(|v| v.parse().ok());
+        if let Some(rest) = a.strip_prefix("-m") {
+            max_count = option_value(rest, args, &mut i).and_then(|v| v.parse().ok());
             if max_count.is_none() {
                 write_stderr(io, "grep: bad -m argument\n")?;
                 return Ok(2);
@@ -208,6 +206,8 @@ mod tests {
     #[test]
     fn max_count() {
         let (_, out) = grep(&["-m", "2", "a"], b"a1\na2\na3\n");
+        assert_eq!(out, "a1\na2\n");
+        let (_, out) = grep(&["-m2", "-ea"], b"a1\na2\na3\n");
         assert_eq!(out, "a1\na2\n");
     }
 

@@ -4,7 +4,7 @@
 //! it stops reading once satisfied, which upstream stages observe as a
 //! closed pipe.
 
-use crate::util::{for_each_input_line, write_stderr};
+use crate::util::{for_each_input_line, option_value, write_stderr};
 use crate::{UtilCtx, UtilIo};
 use bytes::Bytes;
 use std::io;
@@ -18,12 +18,7 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
     while i < args.len() {
         let a = &args[i];
         if let Some(rest) = a.strip_prefix("-n") {
-            let v = if rest.is_empty() {
-                i += 1;
-                args.get(i).cloned().unwrap_or_default()
-            } else {
-                rest.to_string()
-            };
+            let v = option_value(rest, args, &mut i).unwrap_or_default();
             match v.parse() {
                 Ok(n) => lines = n,
                 Err(_) => {
@@ -32,12 +27,7 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
                 }
             }
         } else if let Some(rest) = a.strip_prefix("-c") {
-            let v = if rest.is_empty() {
-                i += 1;
-                args.get(i).cloned().unwrap_or_default()
-            } else {
-                rest.to_string()
-            };
+            let v = option_value(rest, args, &mut i).unwrap_or_default();
             match v.parse() {
                 Ok(n) => bytes_mode = Some(n),
                 Err(_) => {

@@ -1,6 +1,6 @@
 //! `join` — relational join of two sorted files on a key field.
 
-use crate::util::{read_all_input, write_stderr};
+use crate::util::{option_value, read_all_input, write_stderr};
 use crate::{UtilCtx, UtilIo};
 use bytes::Bytes;
 use std::io;
@@ -15,17 +15,19 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
     while i < args.len() {
         let a = &args[i];
         if let Some(rest) = a.strip_prefix("-t") {
-            let d = if rest.is_empty() {
-                i += 1;
-                args.get(i).cloned().unwrap_or_default()
-            } else {
-                rest.to_string()
-            };
+            let d = option_value(rest, args, &mut i).unwrap_or_default();
             sep = d.bytes().next();
         } else if let Some(rest) = a.strip_prefix("-1") {
-            key1 = grab_num(rest, args, &mut i).unwrap_or(1);
+            key1 = option_value(rest, args, &mut i)
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(1);
         } else if let Some(rest) = a.strip_prefix("-2") {
-            key2 = grab_num(rest, args, &mut i).unwrap_or(1);
+            key2 = option_value(rest, args, &mut i)
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(1);
+        } else if a == "--" {
+            files.extend(args[i + 1..].iter().cloned());
+            break;
         } else {
             files.push(a.clone());
         }
@@ -83,15 +85,6 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
     }
     io.stdout.write_chunk(Bytes::from(out))?;
     Ok(0)
-}
-
-fn grab_num(rest: &str, args: &[String], i: &mut usize) -> Option<usize> {
-    if rest.is_empty() {
-        *i += 1;
-        args.get(*i)?.parse().ok()
-    } else {
-        rest.parse().ok()
-    }
 }
 
 fn split_fields(data: &[u8], sep: Option<u8>) -> Vec<Vec<Vec<u8>>> {

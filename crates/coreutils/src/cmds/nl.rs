@@ -1,6 +1,6 @@
 //! `nl` — number lines.
 
-use crate::util::for_each_input_line;
+use crate::util::{for_each_input_line, option_value};
 use crate::{UtilCtx, UtilIo};
 use bytes::Bytes;
 use std::io;
@@ -13,13 +13,11 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
-        if a == "-ba" {
-            skip_empty = false;
-        } else if a == "-bt" {
-            skip_empty = true;
-        } else if a == "-b" {
-            i += 1;
-            skip_empty = args.get(i).map(|v| v == "t").unwrap_or(false);
+        if let Some(rest) = a.strip_prefix("-b") {
+            skip_empty = option_value(rest, args, &mut i).is_some_and(|v| v == "t");
+        } else if a == "--" {
+            files.extend(args[i + 1..].iter().cloned());
+            break;
         } else {
             files.push(a.clone());
         }

@@ -1,6 +1,6 @@
 //! `paste` — merge corresponding lines of files.
 
-use crate::util::{read_all_input, write_stderr};
+use crate::util::{is_flag_cluster, option_value, read_all_input, write_stderr};
 use crate::{UtilCtx, UtilIo};
 use bytes::Bytes;
 use std::io;
@@ -14,19 +14,17 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
     while i < args.len() {
         let a = &args[i];
         if let Some(rest) = a.strip_prefix("-d") {
-            let d = if rest.is_empty() {
-                i += 1;
-                args.get(i).cloned().unwrap_or_default()
-            } else {
-                rest.to_string()
-            };
+            let d = option_value(rest, args, &mut i).unwrap_or_default();
             delims = if d.is_empty() {
                 vec![b'\t']
             } else {
                 d.bytes().collect()
             };
-        } else if a == "-s" {
+        } else if is_flag_cluster(a, "s") {
             serial = true;
+        } else if a == "--" {
+            files.extend(args[i + 1..].iter().cloned());
+            break;
         } else {
             files.push(a.clone());
         }

@@ -1,13 +1,14 @@
 //! `rev` — reverse the characters of each line.
 
-use crate::util::{chomp, for_each_input_line};
+use crate::util::{chomp, for_each_input_line, split_at_dashdash};
 use crate::{UtilCtx, UtilIo};
 use bytes::Bytes;
 use std::io;
 
 /// Runs `rev [file...]`.
 pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i32> {
-    for_each_input_line(args, io, ctx, |out, line| {
+    let (before, after) = split_at_dashdash(args);
+    for_each_input_line(&[before, after].concat(), io, ctx, |out, line| {
         let had_nl = line.ends_with(b"\n");
         let body = chomp(line);
         let mut rev: Vec<u8> = String::from_utf8_lossy(body)

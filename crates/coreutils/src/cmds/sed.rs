@@ -6,7 +6,7 @@
 //! which the spec registry reflects by marking such scripts non-offloadable).
 
 use crate::regex::{Flavor, Regex};
-use crate::util::{chomp, for_each_input_line, write_stderr};
+use crate::util::{chomp, for_each_input_line, is_flag_cluster, option_value, write_stderr};
 use crate::{UtilCtx, UtilIo};
 use bytes::Bytes;
 use std::io;
@@ -47,30 +47,32 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
     let mut quiet = false;
     let mut scripts: Vec<String> = Vec::new();
     let mut files = Vec::new();
+    let mut no_more_flags = false;
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
-        if a == "-n" {
+        if no_more_flags || !a.starts_with('-') || a == "-" {
+            // The first operand is the script unless an `-e` gave one.
+            if scripts.is_empty() {
+                scripts.push(a.clone());
+            } else {
+                files.push(a.clone());
+            }
+        } else if a == "--" {
+            no_more_flags = true;
+        } else if is_flag_cluster(a, "n") {
             quiet = true;
-        } else if a == "-e" {
-            i += 1;
-            match args.get(i) {
-                Some(s) => scripts.push(s.clone()),
+        } else if let Some(rest) = a.strip_prefix("-e") {
+            match option_value(rest, args, &mut i) {
+                Some(s) => scripts.push(s),
                 None => {
                     write_stderr(io, "sed: -e requires an argument\n")?;
                     return Ok(2);
                 }
             }
-        } else if a == "--" {
-            files.extend(args[i + 1..].iter().cloned());
-            break;
-        } else if a.starts_with('-') && a.len() > 1 {
+        } else {
             write_stderr(io, &format!("sed: unknown option {a}\n"))?;
             return Ok(2);
-        } else if scripts.is_empty() {
-            scripts.push(a.clone());
-        } else {
-            files.push(a.clone());
         }
         i += 1;
     }
@@ -209,26 +211,23 @@ pub(crate) struct KernelSed {
 pub(crate) fn kernel_sed(args: &[String]) -> Option<KernelSed> {
     let mut quiet = false;
     let mut scripts: Vec<String> = Vec::new();
+    let mut no_more_flags = false;
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
-        if a == "-n" {
-            quiet = true;
-        } else if a == "-e" {
-            i += 1;
-            scripts.push(args.get(i)?.clone());
-        } else if a == "--" {
-            // Everything after `--` is a file operand in `run`.
-            if args.len() > i + 1 {
-                return None;
+        if no_more_flags || !a.starts_with('-') || a == "-" {
+            if !scripts.is_empty() {
+                return None; // File operand.
             }
-            break;
-        } else if a.starts_with('-') && a.len() > 1 {
-            return None;
-        } else if scripts.is_empty() {
             scripts.push(a.clone());
+        } else if a == "--" {
+            no_more_flags = true;
+        } else if is_flag_cluster(a, "n") {
+            quiet = true;
+        } else if let Some(rest) = a.strip_prefix("-e") {
+            scripts.push(option_value(rest, args, &mut i)?);
         } else {
-            return None; // File operand.
+            return None;
         }
         i += 1;
     }

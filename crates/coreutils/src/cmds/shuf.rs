@@ -4,7 +4,7 @@
 //! runs are reproducible; pass `--seed N` to choose, or `--seed random`
 //! for entropy.
 
-use crate::util::{read_all_input, write_stderr};
+use crate::util::{option_value, read_all_input, write_stderr};
 use crate::{UtilCtx, UtilIo};
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -37,17 +37,15 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
                 }
             }
         } else if let Some(rest) = a.strip_prefix("-n") {
-            let v = if rest.is_empty() {
-                i += 1;
-                args.get(i).cloned().unwrap_or_default()
-            } else {
-                rest.to_string()
-            };
+            let v = option_value(rest, args, &mut i).unwrap_or_default();
             limit = v.parse().ok();
             if limit.is_none() {
                 write_stderr(io, "shuf: invalid -n\n")?;
                 return Ok(2);
             }
+        } else if a == "--" {
+            files.extend(args[i + 1..].iter().cloned());
+            break;
         } else {
             files.push(a.clone());
         }

@@ -6,7 +6,7 @@
 //! `-r`, `-n`, `-u`, plus `-k FIELD` (single field, space-separated) and
 //! `-t SEP`.
 
-use crate::util::{numeric_key, read_all_input, split_flags, write_stderr};
+use crate::util::{numeric_key, option_value, read_all_input, split_flags, write_stderr};
 use crate::{UtilCtx, UtilIo};
 use bytes::Bytes;
 use std::cmp::Ordering;
@@ -41,20 +41,10 @@ impl SortOptions {
                 break;
             }
             if let Some(rest) = a.strip_prefix("-t") {
-                let sep = if rest.is_empty() {
-                    i += 1;
-                    args.get(i)?.clone()
-                } else {
-                    rest.to_string()
-                };
+                let sep = option_value(rest, args, &mut i)?;
                 opts.separator = sep.bytes().next();
             } else if let Some(rest) = a.strip_prefix("-k") {
-                let spec = if rest.is_empty() {
-                    i += 1;
-                    args.get(i)?.clone()
-                } else {
-                    rest.to_string()
-                };
+                let spec = option_value(rest, args, &mut i)?;
                 // Accept `N` or `N,N`; extract the field number.
                 let field: usize = spec.split(',').next()?.split('.').next()?.parse().ok()?;
                 opts.key_field = field;

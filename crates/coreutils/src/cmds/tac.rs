@@ -1,13 +1,14 @@
 //! `tac` — print lines in reverse order (blocking).
 
-use crate::util::read_all_input;
+use crate::util::{read_all_input, split_at_dashdash};
 use crate::{UtilCtx, UtilIo};
 use bytes::Bytes;
 use std::io;
 
 /// Runs `tac [file...]`.
 pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i32> {
-    let data = read_all_input(args, io, ctx)?;
+    let (before, after) = split_at_dashdash(args);
+    let data = read_all_input(&[before, after].concat(), io, ctx)?;
     let mut out = Vec::with_capacity(data.len());
     for line in jash_io::split_lines(&data).iter().rev() {
         out.extend_from_slice(line);

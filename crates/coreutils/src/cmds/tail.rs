@@ -1,6 +1,6 @@
 //! `tail` — output the last lines (or bytes) of input.
 
-use crate::util::{read_all_input, write_stderr};
+use crate::util::{option_value, read_all_input, write_stderr};
 use crate::{UtilCtx, UtilIo};
 use bytes::Bytes;
 use std::io;
@@ -14,12 +14,7 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
     while i < args.len() {
         let a = &args[i];
         if let Some(rest) = a.strip_prefix("-n") {
-            let v = if rest.is_empty() {
-                i += 1;
-                args.get(i).cloned().unwrap_or_default()
-            } else {
-                rest.to_string()
-            };
+            let v = option_value(rest, args, &mut i).unwrap_or_default();
             let v = v.strip_prefix('+').unwrap_or(&v).to_string();
             match v.parse() {
                 Ok(n) => lines = n,
@@ -29,12 +24,7 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
                 }
             }
         } else if let Some(rest) = a.strip_prefix("-c") {
-            let v = if rest.is_empty() {
-                i += 1;
-                args.get(i).cloned().unwrap_or_default()
-            } else {
-                rest.to_string()
-            };
+            let v = option_value(rest, args, &mut i).unwrap_or_default();
             match v.parse() {
                 Ok(n) => bytes_mode = Some(n),
                 Err(_) => {

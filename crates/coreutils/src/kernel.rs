@@ -19,7 +19,7 @@
 use crate::cmds::sed::{kernel_sed, KernelSed};
 use crate::cmds::tr::expand_set;
 use crate::regex::{Flavor, Regex};
-use crate::util::{in_ranges, parse_ranges, split_flags};
+use crate::util::{in_ranges, is_flag_cluster, option_value, parse_ranges, split_flags};
 
 /// How a fused stage consumes its input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -604,9 +604,8 @@ fn build_grep(args: &[String]) -> Option<OpImpl> {
             i += 1;
             continue;
         }
-        if a == "-e" {
-            i += 1;
-            pattern = Some(args.get(i)?.clone());
+        if let Some(rest) = a.strip_prefix("-e") {
+            pattern = Some(option_value(rest, args, &mut i)?);
             i += 1;
             continue;
         }
@@ -650,30 +649,15 @@ fn build_cut(args: &[String]) -> Option<OpImpl> {
     while i < args.len() {
         let a = &args[i];
         if let Some(rest) = a.strip_prefix("-c").or_else(|| a.strip_prefix("-b")) {
-            list = Some(if rest.is_empty() {
-                i += 1;
-                args.get(i).cloned().unwrap_or_default()
-            } else {
-                rest.to_string()
-            });
+            list = Some(option_value(rest, args, &mut i).unwrap_or_default());
             field_mode = false;
         } else if let Some(rest) = a.strip_prefix("-f") {
-            list = Some(if rest.is_empty() {
-                i += 1;
-                args.get(i).cloned().unwrap_or_default()
-            } else {
-                rest.to_string()
-            });
+            list = Some(option_value(rest, args, &mut i).unwrap_or_default());
             field_mode = true;
         } else if let Some(rest) = a.strip_prefix("-d") {
-            let d = if rest.is_empty() {
-                i += 1;
-                args.get(i).cloned().unwrap_or_default()
-            } else {
-                rest.to_string()
-            };
+            let d = option_value(rest, args, &mut i).unwrap_or_default();
             delim = d.bytes().next().unwrap_or(b'\t');
-        } else if a == "-s" {
+        } else if is_flag_cluster(a, "s") {
             suppress = true;
         } else {
             // `--`, file operands, unknown flags: not kernel territory.
@@ -701,12 +685,7 @@ fn parse_head_lines(args: &[String]) -> Option<u64> {
     while i < args.len() {
         let a = &args[i];
         if let Some(rest) = a.strip_prefix("-n") {
-            let v = if rest.is_empty() {
-                i += 1;
-                args.get(i).cloned().unwrap_or_default()
-            } else {
-                rest.to_string()
-            };
+            let v = option_value(rest, args, &mut i).unwrap_or_default();
             lines = v.parse().ok()?;
         } else if a.starts_with("-c") {
             return None; // Byte mode streams chunks, not lines.
@@ -738,12 +717,7 @@ fn build_fold(args: &[String]) -> Option<OpImpl> {
     while i < args.len() {
         let a = &args[i];
         if let Some(rest) = a.strip_prefix("-w") {
-            let v = if rest.is_empty() {
-                i += 1;
-                args.get(i).cloned().unwrap_or_default()
-            } else {
-                rest.to_string()
-            };
+            let v = option_value(rest, args, &mut i).unwrap_or_default();
             match v.parse() {
                 Ok(w) if w > 0 => width = w,
                 _ => return None,
@@ -831,6 +805,10 @@ mod tests {
         assert_eq!(op_shape("cut", &strs(&["-c", "1-3"])), Some(KernelShape::PerLine));
         assert_eq!(op_shape("head", &strs(&["-n2"])), Some(KernelShape::PerLine));
         assert_eq!(op_shape("sed", &strs(&["s/a/b/"])), Some(KernelShape::PerLine));
+        // `-e` takes its value attached or as the next word, as in the
+        // coreutils.
+        assert_eq!(op_shape("grep", &strs(&["-ex"])), Some(KernelShape::PerLine));
+        assert_eq!(op_shape("sed", &strs(&["-es/a/b/"])), Some(KernelShape::PerLine));
         assert_eq!(op_shape("uniq", &[]), Some(KernelShape::PerLine));
         // Unsupported invocations are rejected, not misexecuted.
         assert_eq!(op_shape("grep", &strs(&["-c", "x"])), None);

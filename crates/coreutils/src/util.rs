@@ -171,6 +171,33 @@ pub fn chomp(line: &[u8]) -> &[u8] {
     }
 }
 
+/// The value of an option word whose option letter has been stripped,
+/// leaving `rest`: the rest of the word (`-e PAT` written `-ePAT`) or, if
+/// that is empty, the next word, advancing `i` past it.
+pub fn option_value(rest: &str, args: &[String], i: &mut usize) -> Option<String> {
+    if rest.is_empty() {
+        *i += 1;
+        args.get(*i).cloned()
+    } else {
+        Some(rest.to_string())
+    }
+}
+
+/// Whether `a` is one or more of the flag letters in `letters` after a
+/// dash, clustered or repeated (`-s`, `-ss`, `-nu`).
+pub fn is_flag_cluster(a: &str, letters: &str) -> bool {
+    a.len() > 1 && a.starts_with('-') && a[1..].chars().all(|c| letters.contains(c))
+}
+
+/// Splits `args` at the first `--`: the words before it, and the words
+/// after it, which are operands whatever they look like.
+pub fn split_at_dashdash(args: &[String]) -> (&[String], &[String]) {
+    match args.iter().position(|a| a == "--") {
+        Some(end) => (&args[..end], &args[end + 1..]),
+        None => (args, &[]),
+    }
+}
+
 /// Splits `args` into `(flags..., operands...)` where flag parsing stops at
 /// the first non-flag or `--`.
 pub fn split_flags(args: &[String]) -> (Vec<&str>, Vec<String>) {

@@ -27,6 +27,13 @@ fn staged_fs() -> FsHandle {
     jash::io::fs::write_file(fs.as_ref(), "/data/mixed.txt", mixed.as_bytes()).unwrap();
     jash::io::fs::write_file(fs.as_ref(), "/data/nums.txt", nums.as_bytes()).unwrap();
     jash::io::fs::write_file(fs.as_ref(), "/data/dict.txt", dict.as_bytes()).unwrap();
+    // Decoys named after the option values in `VALUED_STAGES`: a spec
+    // that read `head -n 7`'s `7` as a file would read `/7`, and the
+    // output would differ from the interpreter's.
+    for value in ["7", "3", "2", "20"] {
+        let decoy = format!("decoy {value}\n").repeat(50);
+        jash::io::fs::write_file(fs.as_ref(), &format!("/{value}"), decoy.as_bytes()).unwrap();
+    }
     fs
 }
 
@@ -384,6 +391,27 @@ impl Rng {
 /// toward stateless per-line commands so adjacent fusible runs (the
 /// kernel-fusion substrate) occur on a healthy share of seeds.
 fn random_pipeline(seed: u64) -> String {
+    pipeline_from_seed(seed, false)
+}
+
+/// Stages whose option takes its value as a separate word. `staged_fs`
+/// holds a decoy file named after each value.
+const VALUED_STAGES: &[&str] = &[
+    "head -n 7",
+    "tail -n 3",
+    "sort -k 2",
+    "sort -t ' ' -k 2",
+    "cut -d ' ' -f 2",
+    "fold -w 20",
+];
+
+/// [`random_pipeline`]'s generator with every other stage, the first
+/// included, drawn from [`VALUED_STAGES`].
+fn random_valued_pipeline(seed: u64) -> String {
+    pipeline_from_seed(seed, true)
+}
+
+fn pipeline_from_seed(seed: u64, valued: bool) -> String {
     let mut rng = Rng(seed.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(1));
     let source = rng.pick(&[
         "cat /data/mixed.txt",
@@ -417,9 +445,14 @@ fn random_pipeline(seed: u64) -> String {
         "head -n40",
     ];
     let mut out = String::from(source);
-    for _ in 0..rng.range(1, 5) {
+    for i in 0..rng.range(1, 5) {
+        let pool = if valued && i % 2 == 0 {
+            VALUED_STAGES
+        } else {
+            &stages
+        };
         out.push_str(" | ");
-        out.push_str(rng.pick(&stages));
+        out.push_str(rng.pick(pool));
     }
     // Every fourth script or so gets the paper's spell-style tail, so the
     // sorted-merge + comm path stays well covered.
@@ -427,6 +460,17 @@ fn random_pipeline(seed: u64) -> String {
         out.push_str(" | sort -u | comm -13 /data/dict.txt -");
     }
     out
+}
+
+/// Both generators' scripts for seeds `0..seeds`, each with its seed and
+/// whether [`random_valued_pipeline`] made it (index 1 of the counters).
+fn pipelines(seeds: u64) -> impl Iterator<Item = (u64, usize, String)> {
+    (0..seeds).flat_map(|seed| {
+        [random_pipeline(seed), random_valued_pipeline(seed)]
+            .into_iter()
+            .enumerate()
+            .map(move |(valued, src)| (seed, valued, src))
+    })
 }
 
 /// Runs `src` under the aggressive JIT with a tracer attached; returns
@@ -460,9 +504,9 @@ fn randomized_pipelines_differential_vs_interpreter() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(220);
-    let mut optimized = 0usize;
-    for seed in 0..seeds {
-        let src = random_pipeline(seed);
+    // Per generator, so that neither can carry the other's floor.
+    let mut optimized = [0usize; 2];
+    for (seed, valued, src) in pipelines(seeds) {
         let (bash_st, bash_out) = run(Engine::Bash, &src, false);
         let (st, out, records) = run_jit_traced(&src);
         assert_eq!(bash_st, st, "status diverged for seed {seed}: `{src}`");
@@ -478,7 +522,7 @@ fn randomized_pipelines_differential_vs_interpreter() {
             if kind != "region" || r.attr_str("action") != Some("optimized") {
                 continue;
             }
-            optimized += 1;
+            optimized[valued] += 1;
             // Single-statement scripts with no file sinks: the region's
             // traced output bytes are exactly the script's stdout.
             assert_eq!(
@@ -493,10 +537,17 @@ fn randomized_pipelines_differential_vs_interpreter() {
         }
     }
     let floor = (seeds / 5) as usize;
-    assert!(
-        optimized >= floor,
-        "only {optimized} optimized regions across {seeds} seeds (floor {floor}) — the fragment shrank"
-    );
+    for (valued, generator) in ["random_pipeline", "random_valued_pipeline"]
+        .iter()
+        .enumerate()
+    {
+        let optimized = optimized[valued];
+        assert!(
+            optimized >= floor,
+            "only {optimized} optimized {generator} regions across {seeds} seeds \
+             (floor {floor}) — the fragment shrank"
+        );
+    }
 }
 
 /// Generates a random *control-flow* script: a pipeline-bearing loop or
@@ -508,22 +559,61 @@ fn randomized_pipelines_differential_vs_interpreter() {
 /// operands (`$w`), assignments, and arithmetic — all things a static
 /// (AOT) optimizer must decline but the JIT sees fully expanded.
 fn random_control_flow(seed: u64) -> (u64, String) {
+    control_flow_from_seed(seed, false)
+}
+
+/// [`random_control_flow`]'s generator with bodies whose options take
+/// their values as separate words, as in [`VALUED_STAGES`].
+fn random_valued_control_flow(seed: u64) -> (u64, String) {
+    control_flow_from_seed(seed, true)
+}
+
+fn control_flow_from_seed(seed: u64, valued: bool) -> (u64, String) {
     let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(7));
     let class = seed % 5;
     // Bodies over a loop-bound *path* (cache-friendly: the plan key
     // normalizes paths out).
-    let file_bodies = [
-        "cat $f | tr A-Z a-z | sort -u | head -n6",
-        "cat $f | grep -v Word1 | wc -l",
-        "cat $f | tr -d 0-9 | sort | head -n4",
-        "cat $f | cut -c 1-8 | sort -u | head -n5",
-    ];
+    let file_bodies: &[&str] = if valued {
+        &[
+            "cat $f | tr A-Z a-z | grep -v qqq | cut -c 1-48 | head -n 7",
+            "cat $f | sort -k 2 | tail -n 3",
+            "cat $f | cut -d ' ' -f 2 | sort -u | head -n 7",
+            "cat $f | fold -w 20 | tail -n 3",
+            "cat $f | sort -t ' ' -k 2 | head -n 7",
+        ]
+    } else {
+        &[
+            "cat $f | tr A-Z a-z | sort -u | head -n6",
+            "cat $f | grep -v Word1 | wc -l",
+            "cat $f | tr -d 0-9 | sort | head -n4",
+            "cat $f | cut -c 1-8 | sort -u | head -n5",
+        ]
+    };
     // Bodies over a loop-bound *word* (re-planned per distinct operand).
-    let word_bodies = [
-        "cat /data/mixed.txt | grep -i $w | tr A-Z a-z | sort | head -n5",
-        "grep $w /data/mixed.txt | wc -l",
-        "cat /data/mixed.txt | grep $w | cut -c 1-12 | sort -u | head -n4",
-    ];
+    let word_bodies: &[&str] = if valued {
+        &[
+            "cat /data/mixed.txt | grep $w | sort -k 2 | head -n 7",
+            "grep $w /data/mixed.txt | cut -d ' ' -f 2 | tail -n 3",
+            "cat /data/mixed.txt | grep -i $w | fold -w 20 | head -n 7",
+        ]
+    } else {
+        &[
+            "cat /data/mixed.txt | grep -i $w | tr A-Z a-z | sort | head -n5",
+            "grep $w /data/mixed.txt | wc -l",
+            "cat /data/mixed.txt | grep $w | cut -c 1-12 | sort -u | head -n4",
+        ]
+    };
+    let branch_bodies: &[&str] = if valued {
+        &[
+            "tr A-Z a-z | sort -k 2 | head -n 7",
+            "cut -d ' ' -f 2 | sort -u | tail -n 3",
+        ]
+    } else {
+        &[
+            "tr A-Z a-z | sort | head -n5",
+            "cut -c 1-10 | sort -u | head -n4",
+        ]
+    };
     let words = ["shell", "pipeline", "mixed", "Word1", "Word7", "word"];
     let src = match class {
         0 => {
@@ -535,27 +625,27 @@ fn random_control_flow(seed: u64) -> (u64, String) {
             format!(
                 "for w in {}; do {}; done\necho loop-done $w",
                 list.join(" "),
-                rng.pick(&word_bodies)
+                rng.pick(word_bodies)
             )
         }
         1 => format!(
             "for f in /data/*.txt; do {}; done",
-            rng.pick(&file_bodies)
+            rng.pick(file_bodies)
         ),
         2 => format!(
             "for w in $(head -n{} /data/dict.txt); do {}; done",
             rng.range(2, 4),
-            rng.pick(&word_bodies)
+            rng.pick(word_bodies)
         ),
         3 => format!(
             "i=0\nwhile [ $i -lt {} ]; do\n  f=/data/mixed.txt\n  {}\n  i=$((i+1))\ndone\necho end $i",
             rng.range(2, 4),
-            rng.pick(&file_bodies)
+            rng.pick(file_bodies)
         ),
         _ => format!(
             "F=/data/mixed.txt\nif grep -q {} $F; then\n  cat $F | {}\nelif grep -q {} $F; then\n  cat $F | tr A-Z a-z | head -n3\nelse\n  echo neither\nfi",
             rng.pick(&words),
-            rng.pick(&["tr A-Z a-z | sort | head -n5", "cut -c 1-10 | sort -u | head -n4"]),
+            rng.pick(branch_bodies),
             rng.pick(&words),
         ),
     };
@@ -593,10 +683,17 @@ fn control_flow_differential_vs_interpreter() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(220);
-    let mut class_optimized = [0usize; 5];
-    let mut loop_body_optimized = 0usize;
-    for seed in 0..seeds {
-        let (class, src) = random_control_flow(seed);
+    // Per generator (index 1: the valued one), so that neither can carry
+    // the other's floors.
+    let mut class_optimized = [[0usize; 5]; 2];
+    let mut loop_body_optimized = [0usize; 2];
+    let scripts = (0..seeds).flat_map(|seed| {
+        [random_control_flow(seed), random_valued_control_flow(seed)]
+            .into_iter()
+            .enumerate()
+            .map(move |(valued, (class, src))| (seed, valued, class, src))
+    });
+    for (seed, valued, class, src) in scripts {
         let (bash_st, bash_out, bash_err) = run_full(Engine::Bash, &src, false);
 
         let fs = staged_fs();
@@ -628,33 +725,45 @@ fn control_flow_differential_vs_interpreter() {
             let jash::trace::Record::Span { ref kind, .. } = rec else {
                 continue;
             };
+            // A body that read an option value as its input file fails
+            // over and then matches the oracle, so only this check sees it.
+            assert!(
+                !(valued == 1 && kind == "region" && rec.attr_str("action") == Some("failed_over")),
+                "region failed over for seed {seed}:\n{src}"
+            );
             if kind != "region" || rec.attr_str("action") != Some("optimized") {
                 continue;
             }
             seed_optimized = true;
             if rec.attr_u64("loop_iter").is_some() {
-                loop_body_optimized += 1;
+                loop_body_optimized[valued] += 1;
             }
         }
         if seed_optimized {
-            class_optimized[class as usize] += 1;
+            class_optimized[valued][class as usize] += 1;
         }
     }
     // Every class must have produced optimized regions on some seeds —
     // loops via their bodies, the if/elif class via its nested branches.
-    for (class, count) in class_optimized.iter().enumerate() {
+    let floor = (seeds / 10).max(1) as usize;
+    for (valued, generator) in ["random_control_flow", "random_valued_control_flow"]
+        .iter()
+        .enumerate()
+    {
+        for (class, count) in class_optimized[valued].iter().enumerate() {
+            assert!(
+                *count >= 1,
+                "{generator} class {class} never optimized across {seeds} seeds \
+                 — the expansion-boundary callout regressed"
+            );
+        }
+        let loop_body_optimized = loop_body_optimized[valued];
         assert!(
-            *count >= 1,
-            "control-flow class {class} never optimized across {seeds} seeds \
-             — the expansion-boundary callout regressed"
+            loop_body_optimized >= floor,
+            "only {loop_body_optimized} optimized {generator} loop-body regions across \
+             {seeds} seeds (floor {floor}) — loops are no longer JIT'd per iteration"
         );
     }
-    let floor = (seeds / 10).max(1) as usize;
-    assert!(
-        loop_body_optimized >= floor,
-        "only {loop_body_optimized} optimized loop-body regions across {seeds} seeds \
-         (floor {floor}) — loops are no longer JIT'd per iteration"
-    );
 }
 
 /// The acceptance scenario pinned explicitly: a `for` loop over ≥8
@@ -728,6 +837,84 @@ fn for_loop_over_eight_files_reuses_the_cached_plan() {
     assert_eq!(shell.plan_cache.misses, 1, "only iteration 1 plans");
 }
 
+/// The benchmark's `loop-small` body, `head -n 200` inside a `for` loop
+/// over eight files, with a decoy file `/200` staged. A spec that read
+/// `200` as `head`'s input would fail every iteration over to the
+/// interpreter, or, with the decoy present, write the decoy's lines.
+/// Every iteration must optimize in one supervised attempt and write
+/// what the interpreter writes.
+#[test]
+fn loop_small_head_n_optimizes_every_iteration() {
+    let stage = || {
+        let fs = jash::io::mem_fs();
+        for i in 0..8 {
+            let text: String = (0..300)
+                .map(|l| {
+                    format!(
+                        "Doc{i} Line {l} UNIX shell {}\n",
+                        if l % 7 == 0 { "qqq" } else { "Pipe" }
+                    )
+                })
+                .collect();
+            jash::io::fs::write_file(fs.as_ref(), &format!("/d/f{i}.txt"), text.as_bytes())
+                .unwrap();
+        }
+        jash::io::fs::write_file(fs.as_ref(), "/200", "decoy\n".repeat(10).as_bytes()).unwrap();
+        fs
+    };
+    let src = "for f in /d/*.txt; do\n  cat $f | tr A-Z a-z | grep -v qqq | cut -c 1-48 | head -n 200 > $f.out\ndone";
+    let outputs = |fs: &FsHandle| -> Vec<u8> {
+        (0..8)
+            .flat_map(|i| {
+                jash::io::fs::read_to_vec(fs.as_ref(), &format!("/d/f{i}.txt.out")).unwrap()
+            })
+            .collect()
+    };
+
+    let fs = stage();
+    let mut state = ShellState::new(fs.clone());
+    let oracle = Jash::new(Engine::Bash, machine())
+        .run_script(&mut state, src)
+        .unwrap();
+    let want = outputs(&fs);
+    assert_eq!(want.iter().filter(|&&b| b == b'\n').count(), 8 * 200);
+
+    let fs = stage();
+    let mut state = ShellState::new(fs.clone());
+    let mut shell = Jash::new(Engine::JashJit, machine());
+    shell.planner = PlannerOptions {
+        min_speedup: 0.0,
+        force_width: Some(4),
+        ..Default::default()
+    };
+    let r = shell.run_script(&mut state, src).unwrap();
+    assert_eq!(oracle.status, r.status);
+    assert_eq!(
+        String::from_utf8_lossy(&want),
+        String::from_utf8_lossy(&outputs(&fs)),
+        "JIT'd loop must write what the interpreter writes"
+    );
+
+    let failed_over: Vec<_> = shell
+        .trace
+        .iter()
+        .filter(|e| matches!(e.action, jash::core::Action::FailedOver { .. }))
+        .collect();
+    assert!(failed_over.is_empty(), "failed over: {failed_over:?}");
+    assert_eq!(
+        shell.runtime.regions_optimized, 8,
+        "every iteration optimizes"
+    );
+    let attempts = shell
+        .runtime
+        .supervision
+        .events
+        .iter()
+        .filter(|e| matches!(e, jash::exec::SupervisionEvent::Attempt { .. }))
+        .count();
+    assert_eq!(attempts, 8, "one supervised attempt per optimized region");
+}
+
 /// The fusion-forced differential: the same seed matrix with kernel
 /// fusion pinned on (`force_fusion`), so every pipeline with a fusible
 /// run executes through a single-pass fused kernel. The fused engine
@@ -740,10 +927,10 @@ fn randomized_pipelines_differential_with_fusion_forced() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(220);
-    let mut fused_regions = 0usize;
-    let mut kernel_spans = 0usize;
-    for seed in 0..seeds {
-        let src = random_pipeline(seed);
+    // Per generator, so that neither can carry the other's floor.
+    let mut fused_regions = [0usize; 2];
+    let mut kernel_spans = [0usize; 2];
+    for (seed, valued, src) in pipelines(seeds) {
         let (bash_st, bash_out) = run(Engine::Bash, &src, false);
 
         let fs = staged_fs();
@@ -771,22 +958,28 @@ fn randomized_pipelines_differential_with_fusion_forced() {
             if kind == "region"
                 && rec.attr("fused") == Some(&jash::trace::AttrValue::Bool(true))
             {
-                fused_regions += 1;
+                fused_regions[valued] += 1;
                 assert!(
                     rec.attr_u64("nodes_fused").unwrap_or(0) >= 2,
                     "fused region without stages for seed {seed}: `{src}`"
                 );
             }
             if kind == "node" && rec.attr_str("cmd") == Some("fused") {
-                kernel_spans += 1;
+                kernel_spans[valued] += 1;
             }
         }
     }
     // Fusion must actually exercise on this matrix, not vacuously pass.
     let floor = (seeds / 8).max(1) as usize;
-    assert!(
-        fused_regions >= floor && kernel_spans >= floor,
-        "fusion fired on {fused_regions} region(s) / {kernel_spans} kernel span(s) \
-         across {seeds} seeds (floor {floor}) — the fusible fragment shrank"
-    );
+    for (valued, generator) in ["random_pipeline", "random_valued_pipeline"]
+        .iter()
+        .enumerate()
+    {
+        let (fused_regions, kernel_spans) = (fused_regions[valued], kernel_spans[valued]);
+        assert!(
+            fused_regions >= floor && kernel_spans >= floor,
+            "fusion fired on {fused_regions} {generator} region(s) / {kernel_spans} kernel \
+             span(s) across {seeds} seeds (floor {floor}) — the fusible fragment shrank"
+        );
+    }
 }
